@@ -4,6 +4,8 @@
 // schedule → run → extract), and every perflog entry — whether produced
 // by a daemon run or appended to the tree by out-of-band benchctl
 // invocations — is served from one incremental, queryable store.
+// Reads answer from memory; out-of-band appends are reconciled in the
+// background every second, or at once by POST /v1/sync.
 //
 //	benchd --addr :8080 --perflog perflogs --tree install --workers 4
 //
@@ -13,6 +15,7 @@
 //	curl -s localhost:8080/v1/runs/run-000001
 //	curl -s 'localhost:8080/v1/query?benchmark=babelstream-omp&fom=triad_mbps&agg=mean&group_by=system'
 //	curl -s 'localhost:8080/v1/regressions?fom=triad_mbps&tolerance=0.1&window=5'
+//	curl -s -X POST localhost:8080/v1/sync
 //	curl -s localhost:8080/metrics
 //	curl -s localhost:8080/v1/traces/run-000001
 //

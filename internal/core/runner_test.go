@@ -388,6 +388,41 @@ func TestStageDurationExtras(t *testing.T) {
 	}
 }
 
+// histogramSums totals each named histogram's _sum over all its label
+// values.
+func histogramSums(names ...string) map[string]float64 {
+	out := map[string]float64{}
+	for _, s := range telemetry.DefaultRegistry.Snapshot() {
+		for _, n := range names {
+			if s.Name == n+"_sum" {
+				out[n] += s.Value
+			}
+		}
+	}
+	return out
+}
+
+func TestStageHistogramIsWallClock(t *testing.T) {
+	// A simulated 10 s job finishes in milliseconds of real time: its
+	// queue wait and execute time belong on the job-clock histogram, and
+	// the wall-clock histogram may not grow by more than the run took.
+	r := testRunner(t)
+	before := histogramSums("runner_stage_seconds", "runner_job_seconds")
+	t0 := time.Now()
+	rep, err := r.Run(&echoBenchmark{name: "echo", elapsed: 10 * time.Second}, Options{System: "archer2"})
+	wall := time.Since(t0).Seconds()
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := histogramSums("runner_stage_seconds", "runner_job_seconds")
+	if d := after["runner_stage_seconds"] - before["runner_stage_seconds"]; d > wall {
+		t.Errorf("runner_stage_seconds_sum grew by %.3fs over a %.3fs run", d, wall)
+	}
+	if d := after["runner_job_seconds"] - before["runner_job_seconds"]; d < rep.Job.Runtime() {
+		t.Errorf("runner_job_seconds_sum grew by %.3fs, want at least the job runtime %.3fs", d, rep.Job.Runtime())
+	}
+}
+
 func TestRunContextPublishesTrace(t *testing.T) {
 	r := testRunner(t)
 	tr := telemetry.NewTracer(4)

@@ -12,6 +12,7 @@ package perflog
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"io/fs"
@@ -213,13 +214,18 @@ func unescape(s string) string {
 // flushes. The data is fsynced before Append reports success, so an
 // acknowledged entry survives a crash immediately after — results are
 // the whole point of a benchmark run, and perflogs are their only
-// durable record (Principle 6).
+// durable record (Principle 6). When the append created the file or its
+// system directory, the parent directories are fsynced too: without
+// that, the new directory entry (and with it every acked line) can
+// vanish on power loss although the file's own bytes were synced.
 //
 // Injection points: "perflog.open" models the open failing,
 // "perflog.sync" the fsync failing — the crash-mid-run cases the chaos
-// suite exercises. Both fire before any byte is written, so an injected
+// suite exercises — and "perflog.syncdir" a directory fsync failing
+// (it fires only when the append would create a directory entry). All
+// three fire before anything is created or written, so an injected
 // fault never leaves landed-but-unacknowledged bytes behind: chaos
-// harnesses can arm either point on any write path and still account
+// harnesses can arm any of them on any write path and still account
 // for every line exactly. (A real fsync error after the write does
 // carry that ambiguity; it is surfaced but cannot be injected.)
 func Append(root, system, benchmark string, entries ...*Entry) error {
@@ -229,14 +235,9 @@ func Append(root, system, benchmark string, entries ...*Entry) error {
 	if err := faultinject.Fire("perflog.sync"); err != nil {
 		return fmt.Errorf("perflog: %w", err)
 	}
-	dir := filepath.Join(root, system)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("perflog: %w", err)
-	}
-	path := filepath.Join(dir, benchmark+".log")
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	f, _, created, err := openLog(root, system, benchmark)
 	if err != nil {
-		return fmt.Errorf("perflog: %w", err)
+		return err
 	}
 	var buf strings.Builder
 	for _, e := range entries {
@@ -253,6 +254,65 @@ func Append(root, system, benchmark string, entries ...*Entry) error {
 	}
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("perflog: close: %w", err)
+	}
+	for _, dir := range created {
+		if err := syncDir(dir); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// openLog opens <root>/<system>/<benchmark>.log for appending, creating
+// it and any missing directories above it. It also returns the
+// directories whose entries it created: each must be fsynced before an
+// append to the file is acknowledged. When it will create anything, the
+// "perflog.syncdir" injection point fires first, so an injected fault
+// leaves the tree untouched and a retry still sees the entries missing.
+func openLog(root, system, benchmark string) (*os.File, string, []string, error) {
+	path := filepath.Join(root, system, benchmark+".log")
+	var created []string
+	for p := path; ; p = filepath.Dir(p) {
+		_, err := os.Lstat(p)
+		if err == nil {
+			break
+		}
+		if !errors.Is(err, fs.ErrNotExist) {
+			return nil, "", nil, fmt.Errorf("perflog: %w", err)
+		}
+		parent := filepath.Dir(p)
+		if parent == p {
+			break
+		}
+		created = append(created, parent)
+	}
+	if len(created) > 0 {
+		if err := faultinject.Fire("perflog.syncdir"); err != nil {
+			return nil, "", nil, fmt.Errorf("perflog: %w", err)
+		}
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			return nil, "", nil, fmt.Errorf("perflog: %w", err)
+		}
+	}
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	if err != nil {
+		return nil, "", nil, fmt.Errorf("perflog: %w", err)
+	}
+	return f, path, created, nil
+}
+
+// syncDir fsyncs a directory, making the entries created in it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("perflog: syncdir: %w", err)
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("perflog: syncdir %s: %w", dir, err)
 	}
 	return nil
 }

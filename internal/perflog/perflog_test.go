@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/fom"
+	"repro/internal/telemetry"
 )
 
 func sampleEntry() *Entry {
@@ -301,5 +302,72 @@ func TestAppendSurfacesOpenFault(t *testing.T) {
 	// Nothing may have been written: the fault fired before the open.
 	if _, err := os.Stat(filepath.Join(root, "archer2", "hpgmg-fv.log")); !os.IsNotExist(err) {
 		t.Fatalf("log file exists after open fault (stat err %v)", err)
+	}
+}
+
+func TestAppendSyncsNewDirectoryEntries(t *testing.T) {
+	// An append that creates a log file (or its system directory) must
+	// fsync the parent directories before it acks, and an injected
+	// failure of that fsync fails the append; an append to an existing
+	// file creates no entry and never reaches the point.
+	for _, tc := range []struct {
+		name string
+		open func(root string) (Appender, func())
+	}{
+		{"Append", func(root string) (Appender, func()) { return TreeAppender(root), func() {} }},
+		{"Writer", func(root string) (Appender, func()) {
+			w := NewWriter(root, WriterOptions{})
+			return w, func() { w.Close() }
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			root := t.TempDir()
+			app, done := tc.open(root)
+			defer done()
+			arm := func() {
+				t.Helper()
+				if err := faultinject.Load(1, []faultinject.Rule{
+					{Point: "perflog.syncdir", Kind: faultinject.KindError},
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			defer faultinject.Reset()
+			fired := func() float64 {
+				v, _ := telemetry.DefaultRegistry.Value("faultinject_fired_total", "perflog.syncdir", "error")
+				return v
+			}
+
+			arm()
+			if err := app.Append("archer2", "hpgmg-fv", sampleEntry()); !faultinject.Is(err) {
+				t.Fatalf("append creating a system dir and file: err = %v, want the syncdir fault", err)
+			}
+			if _, err := os.Stat(filepath.Join(root, "archer2")); !os.IsNotExist(err) {
+				t.Fatalf("faulted append created the system directory (stat err %v)", err)
+			}
+
+			faultinject.Reset()
+			if err := app.Append("archer2", "hpgmg-fv", sampleEntry()); err != nil {
+				t.Fatal(err)
+			}
+			arm()
+			before := fired()
+			if err := app.Append("archer2", "hpgmg-fv", sampleEntry()); err != nil {
+				t.Fatalf("append to an existing file: %v", err)
+			}
+			if fired() != before {
+				t.Error("append to an existing file fired perflog.syncdir")
+			}
+			if err := app.Append("archer2", "hpcg", sampleEntry()); !faultinject.Is(err) {
+				t.Fatalf("append creating a file in an existing dir: err = %v, want the syncdir fault", err)
+			}
+			entries, err := Read(filepath.Join(root, "archer2", "hpgmg-fv.log"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(entries) != 2 {
+				t.Fatalf("log holds %d entries, want the 2 acknowledged", len(entries))
+			}
+		})
 	}
 }

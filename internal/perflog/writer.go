@@ -108,9 +108,13 @@ type WriterOptions struct {
 // commit, before any byte is written: a faulted commit acknowledges
 // nothing and leaves nothing behind, which is what lets the chaos suite
 // inject sync faults against the daemon write path and still prove
-// zero lost, duplicated, or torn lines. (A real fsync failure after the
-// write carries the same landed-but-unacked caveat as Append; the
-// descriptor is dropped so the next commit reopens cleanly.)
+// zero lost, duplicated, or torn lines. "perflog.syncdir" fires, also
+// before any byte is written, when a commit's first write to a file
+// would create it or its system directory; like Append, the commit
+// fsyncs the parents of such new entries before acknowledging. (A real
+// fsync failure after the write carries the same landed-but-unacked
+// caveat as Append; the descriptor is dropped so the next commit
+// reopens cleanly.)
 type Writer struct {
 	root string
 	opt  WriterOptions
@@ -124,9 +128,16 @@ type Writer struct {
 	stop   chan struct{}
 	exited chan struct{}
 
-	// files caches open descriptors keyed by system\x00benchmark. Only
-	// the committer goroutine touches it.
+	// commitMu is held across each commit, from its first write to its
+	// last OnCommit call; Quiesce takes it to run work between commits.
+	commitMu sync.Mutex
+
+	// files caches open descriptors keyed by system\x00benchmark, and
+	// unsynced holds the directories whose new entries (a created system
+	// directory or log file) are not yet known durable. Only the
+	// committer goroutine touches either.
 	files    map[string]*os.File
+	unsynced map[string]bool
 	closeErr error
 }
 
@@ -160,12 +171,13 @@ func NewWriter(root string, opt WriterOptions) *Writer {
 		opt.MaxBytes = DefaultCommitBytes
 	}
 	w := &Writer{
-		root:   root,
-		opt:    opt,
-		wake:   make(chan struct{}, 1),
-		stop:   make(chan struct{}),
-		exited: make(chan struct{}),
-		files:  map[string]*os.File{},
+		root:     root,
+		opt:      opt,
+		wake:     make(chan struct{}, 1),
+		stop:     make(chan struct{}),
+		exited:   make(chan struct{}),
+		files:    map[string]*os.File{},
+		unsynced: map[string]bool{},
 	}
 	go w.run()
 	return w
@@ -257,6 +269,17 @@ func (w *Writer) Pending() (entries, bytes int) {
 	return w.cur.entries, w.cur.bytes
 }
 
+// Quiesce runs f while no commit is in flight, delaying commits until f
+// returns. Every commit whose bytes f can see in the files has already
+// been handed to OnCommit, so a reader that reconciles the files with
+// what OnCommit fed it (perfstore's Reconcile) never parses bytes the
+// committer is about to deliver pre-parsed.
+func (w *Writer) Quiesce(f func() error) error {
+	w.commitMu.Lock()
+	defer w.commitMu.Unlock()
+	return f()
+}
+
 // Close commits any pending batch, stops the committer, and closes the
 // cached descriptors. Appends racing Close either make the final batch
 // (and get a real durability verdict) or fail with ErrWriterClosed.
@@ -318,7 +341,9 @@ func (w *Writer) commitNext(draining bool) {
 	if b == nil {
 		return
 	}
+	w.commitMu.Lock()
 	b.err = w.commit(b)
+	w.commitMu.Unlock()
 	// Deliver the verdict before forgetting the in-flight batch: a Flush
 	// that finds inflight nil may return nil, which is only sound once
 	// done is closed and every waiter can read err.
@@ -396,6 +421,15 @@ func (w *Writer) commit(b *writeBatch) error {
 		}
 		metricFsyncSeconds.Observe(time.Since(t0).Seconds())
 	}
+	// Directory entries this commit (or a failed earlier one) created
+	// become durable before anyone is acked: once per directory.
+	for dir := range w.unsynced {
+		if err := syncDir(dir); err != nil {
+			metricCommitsError.Inc()
+			return err
+		}
+		delete(w.unsynced, dir)
+	}
 	if w.opt.OnCommit != nil {
 		for i := range stage {
 			st := &stage[i]
@@ -415,18 +449,18 @@ func (w *Writer) commit(b *writeBatch) error {
 }
 
 // file returns the cached descriptor for one (system, benchmark)
-// target, opening (and creating) it on first use.
+// target, opening (and creating) it on first use. Directories whose
+// entries the open created are queued in unsynced for the commit.
 func (w *Writer) file(key, system, benchmark string) (*os.File, string, error) {
-	path := filepath.Join(w.root, system, benchmark+".log")
 	if f, ok := w.files[key]; ok {
-		return f, path, nil
+		return f, filepath.Join(w.root, system, benchmark+".log"), nil
 	}
-	if err := os.MkdirAll(filepath.Join(w.root, system), 0o755); err != nil {
-		return nil, "", fmt.Errorf("perflog: %w", err)
-	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	f, path, created, err := openLog(w.root, system, benchmark)
 	if err != nil {
-		return nil, "", fmt.Errorf("perflog: %w", err)
+		return nil, "", err
+	}
+	for _, dir := range created {
+		w.unsynced[dir] = true
 	}
 	w.files[key] = f
 	return f, path, nil

@@ -515,3 +515,51 @@ func TestWriterFlushWaitsForInflightCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWriterQuiesceHoldsCommits: a batch detached while Quiesce runs
+// stays off disk until Quiesce's function returns, then commits.
+func TestWriterQuiesceHoldsCommits(t *testing.T) {
+	root := t.TempDir()
+	w := NewWriter(root, WriterOptions{})
+	defer w.Close()
+	path := filepath.Join(root, "archer2", "hpgmg-fv.log")
+	done := make(chan error, 1)
+	err := w.Quiesce(func() error {
+		go func() { done <- w.Append("archer2", "hpgmg-fv", sampleEntry()) }()
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			w.mu.Lock()
+			detached := w.inflight != nil
+			w.mu.Unlock()
+			if detached {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("committer never picked up the batch")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		select {
+		case err := <-done:
+			t.Fatalf("append acknowledged during Quiesce (err %v)", err)
+		default:
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("log file exists during Quiesce (stat err %v)", err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	entries, err := Read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("log holds %d entries, want 1", len(entries))
+	}
+}

@@ -16,12 +16,13 @@ package perfstore
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -236,21 +237,70 @@ func (s *Store) shardFor(system string) *shard {
 	return &s.shards[h.Sum32()%shardCount]
 }
 
-// Sync walks the perflog tree and incrementally ingests every .log file.
-// Files already at their checkpoint are skipped without reading a byte.
+// SyncResult counts what one reconcile ingested: the files whose size
+// no longer matched their checkpoint (and were therefore opened), and
+// the bytes parsed and entries added from them.
+type SyncResult struct {
+	Files   int   `json:"files"`
+	Bytes   int64 `json:"bytes"`
+	Entries int   `json:"entries"`
+}
+
+// Sync reconciles the store with the perflog tree; see Reconcile.
 func (s *Store) Sync() error {
-	if _, err := os.Stat(s.root); os.IsNotExist(err) {
-		return nil // nothing logged yet
+	_, err := s.Reconcile()
+	return err
+}
+
+// Reconcile walks the perflog tree and ingests every .log file whose
+// size differs from its checkpoint. The walk is stat-only: an unchanged
+// file costs one lstat and a map lookup against a checkpoint snapshot
+// taken under a single ckMu hold, and only new, grown or shrunk files
+// are opened and parsed (through SyncFile, which re-checks the size on
+// the open descriptor, so a stale snapshot can only cost a no-op open).
+// The "perfstore.sync" injection point fires once before the walk, and
+// again in each SyncFile.
+func (s *Store) Reconcile() (SyncResult, error) {
+	var res SyncResult
+	if err := faultinject.Fire("perfstore.sync"); err != nil {
+		return res, fmt.Errorf("perfstore: %w", err)
 	}
-	return filepath.Walk(s.root, func(path string, info os.FileInfo, err error) error {
+	s.ckMu.Lock()
+	offsets := make(map[string]int64, len(s.ck))
+	for path, ck := range s.ck {
+		offsets[path] = ck.offset
+	}
+	s.ckMu.Unlock()
+	unchanged := 0
+	err := filepath.WalkDir(s.root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			if path == s.root && errors.Is(err, fs.ErrNotExist) {
+				return fs.SkipAll // nothing logged yet
+			}
+			return err
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".log") {
+			return nil
+		}
+		info, err := d.Info()
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil // removed since the directory was read
+		}
 		if err != nil {
 			return err
 		}
-		if info.IsDir() || !strings.HasSuffix(path, ".log") {
+		if off, ok := offsets[path]; ok && info.Size() == off {
+			unchanged++
 			return nil
 		}
-		return s.SyncFile(path)
+		parsed, added, err := s.syncFile(path)
+		res.Files++
+		res.Bytes += parsed
+		res.Entries += added
+		return err
 	})
+	s.bumpStats(unchanged, 0, 0)
+	return res, err
 }
 
 // SyncFile incrementally ingests one perflog file: it seeks to the
@@ -268,8 +318,15 @@ func (s *Store) Sync() error {
 // re-reads it whole — fault tolerance by the same mechanism as normal
 // incremental ingest.
 func (s *Store) SyncFile(path string) error {
+	_, _, err := s.syncFile(path)
+	return err
+}
+
+// syncFile is SyncFile reporting the bytes it parsed and the entries it
+// added.
+func (s *Store) syncFile(path string) (int64, int, error) {
 	if err := faultinject.Fire("perfstore.sync"); err != nil {
-		return fmt.Errorf("perfstore: %w", err)
+		return 0, 0, fmt.Errorf("perfstore: %w", err)
 	}
 	start := time.Now()
 	defer func() { metricSyncSeconds.Observe(time.Since(start).Seconds()) }()
@@ -283,12 +340,12 @@ func (s *Store) SyncFile(path string) error {
 
 	f, err := os.Open(path)
 	if err != nil {
-		return fmt.Errorf("perfstore: %w", err)
+		return 0, 0, fmt.Errorf("perfstore: %w", err)
 	}
 	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
-		return fmt.Errorf("perfstore: %w", err)
+		return 0, 0, fmt.Errorf("perfstore: %w", err)
 	}
 
 	// Serialize syncs of the same file on its checkpoint: two concurrent
@@ -298,16 +355,16 @@ func (s *Store) SyncFile(path string) error {
 
 	if st.Size() < ck.offset {
 		if err := s.evictFile(path); err != nil {
-			return err
+			return 0, 0, err
 		}
 		ck.offset = 0
 	}
 	if st.Size() == ck.offset {
 		s.bumpStats(1, 0, 0)
-		return nil
+		return 0, 0, nil
 	}
 	if _, err := f.Seek(ck.offset, io.SeekStart); err != nil {
-		return fmt.Errorf("perfstore: %w", err)
+		return 0, 0, fmt.Errorf("perfstore: %w", err)
 	}
 
 	r := bufio.NewReaderSize(faultinject.Reader("perfstore.read", f), 64*1024)
@@ -322,7 +379,7 @@ func (s *Store) SyncFile(path string) error {
 		}
 		if err != nil {
 			s.addBatch(batch, path)
-			return fmt.Errorf("perfstore: %w", err)
+			return 0, 0, fmt.Errorf("perfstore: %w", err)
 		}
 		n := int64(len(line))
 		text := strings.TrimSpace(line)
@@ -332,7 +389,7 @@ func (s *Store) SyncFile(path string) error {
 				// Entries whose offsets the checkpoint already covers
 				// must be indexed even though the file is bad past them.
 				s.addBatch(batch, path)
-				return fmt.Errorf("perfstore: %s @%d: %w", path, ck.offset+parsed, perr)
+				return 0, 0, fmt.Errorf("perfstore: %s @%d: %w", path, ck.offset+parsed, perr)
 			}
 			batch = append(batch, e)
 		}
@@ -341,17 +398,7 @@ func (s *Store) SyncFile(path string) error {
 	}
 	s.addBatch(batch, path)
 	s.bumpStats(1, parsed, len(batch))
-	return nil
-}
-
-// Append persists entries through perflog.Append and ingests exactly
-// the bytes just written, so store and tree stay in lockstep — the
-// write path benchd workers use.
-func (s *Store) Append(system, benchmark string, entries ...*perflog.Entry) error {
-	if err := perflog.Append(s.root, system, benchmark, entries...); err != nil {
-		return err
-	}
-	return s.SyncFile(filepath.Join(s.root, system, benchmark+".log"))
+	return parsed, len(batch), nil
 }
 
 // AddBatch ingests one durable group commit from a perflog.Writer
@@ -570,47 +617,4 @@ func (s *Store) Select(q Query) []*perflog.Entry {
 		metricSelects.With("time").Inc()
 	}
 	return mergeHits(parts, q.Limit)
-}
-
-// selectScan is the reference implementation Select is measured and
-// property-tested against: a full linear scan of both tiers with
-// per-entry predicate checks and a post-hoc sort — the pre-index query
-// path. It must return results identical to Select for every query.
-func (s *Store) selectScan(q Query) []*perflog.Entry {
-	m := q.compile()
-	var hits []hit
-	scan := func(st *stored) {
-		if !st.dead && !(m.hasSince && st.t < m.sinceNano) && m.matchEntry(st.entry) {
-			hits = append(hits, hit{st.entry, st.t, st.seq})
-		}
-	}
-	s.seg.RLock()
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for j := range sh.entries {
-			scan(&sh.entries[j])
-		}
-		sh.mu.RUnlock()
-	}
-	for _, g := range s.seg.list {
-		d, err := g.load()
-		if err != nil {
-			s.noteLoadFailure(err)
-			continue
-		}
-		for j := range d.entries {
-			scan(&d.entries[j])
-		}
-	}
-	s.seg.RUnlock()
-	slices.SortFunc(hits, cmpHits)
-	if q.Limit > 0 && len(hits) > q.Limit {
-		hits = hits[len(hits)-q.Limit:]
-	}
-	out := make([]*perflog.Entry, len(hits))
-	for i, h := range hits {
-		out[i] = h.e
-	}
-	return out
 }

@@ -1,9 +1,11 @@
 package perfstore
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -341,7 +343,7 @@ func TestEvalSeriesShortAndNaN(t *testing.T) {
 
 func TestConcurrentIngestAndQuery(t *testing.T) {
 	// The -race acceptance test: writers Append through the store while
-	// readers Select, Aggregate, and Regressions concurrently.
+	// readers Select, Aggregate, Regressions and reconcile concurrently.
 	root := t.TempDir()
 	s := Open(root)
 	const writers = 4
@@ -363,6 +365,10 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 				s.Aggregate(Query{FOM: "l0"})
 				s.Regressions(Query{FOM: "l0"}, 0.1, 5)
 				s.Stats()
+				if err := s.Sync(); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 		}()
 	}
@@ -528,4 +534,139 @@ func TestSyncSurfacesInjectedSyncFault(t *testing.T) {
 	if s.Len() != 5 {
 		t.Fatalf("entries = %d, want 5", s.Len())
 	}
+}
+
+// writeTree writes one single-line perflog file per (system,
+// benchmark) pair: systems × benchmarks files in all.
+func writeTree(t *testing.T, root string, systems, benchmarks int) {
+	t.Helper()
+	for i := 0; i < systems; i++ {
+		sys := fmt.Sprintf("sys%02d", i)
+		if err := os.MkdirAll(filepath.Join(root, sys), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < benchmarks; j++ {
+			b := fmt.Sprintf("bench%02d", j)
+			e := entry(sys, b, 1, t0, map[string]float64{"l0": float64(i + j)})
+			if err := os.WriteFile(filepath.Join(root, sys, b+".log"), []byte(e.Line()+"\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+func TestReconcileNoopOpensNoFile(t *testing.T) {
+	// A reconcile over an unchanged 200-file tree is stat-only: no
+	// SyncFile call (perfstore_sync_seconds stays put), no parsed byte,
+	// no generation bump — but every file still counts as scanned.
+	root := t.TempDir()
+	writeTree(t, root, 20, 10)
+	s := Open(root)
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Len() != 200 {
+		t.Fatalf("entries = %d, want 200", s.Len())
+	}
+	calls, before, gen := metricSyncSeconds.Count(), s.Stats(), s.Generation()
+	res, err := s.Reconcile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res != (SyncResult{}) {
+		t.Errorf("no-op reconcile reported %+v", res)
+	}
+	after := s.Stats()
+	if got := metricSyncSeconds.Count() - calls; got != 0 {
+		t.Errorf("no-op reconcile made %d SyncFile calls, want 0", got)
+	}
+	if after.BytesParsed != before.BytesParsed {
+		t.Errorf("no-op reconcile parsed %d bytes", after.BytesParsed-before.BytesParsed)
+	}
+	if after.FilesScanned-before.FilesScanned != 200 {
+		t.Errorf("files scanned grew by %d, want 200", after.FilesScanned-before.FilesScanned)
+	}
+	if s.Generation() != gen {
+		t.Error("no-op reconcile bumped the generation")
+	}
+}
+
+func TestReconcileOpensOnlyGrownFile(t *testing.T) {
+	root := t.TempDir()
+	writeTree(t, root, 4, 5)
+	s := Open(root)
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	e := entry("sys02", "bench03", 2, t0.Add(time.Hour), map[string]float64{"l0": 7})
+	if err := perflog.Append(root, "sys02", "bench03", e); err != nil {
+		t.Fatal(err)
+	}
+	calls := metricSyncSeconds.Count()
+	res, err := s.Reconcile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := metricSyncSeconds.Count() - calls; got != 1 {
+		t.Errorf("reconcile after one append made %d SyncFile calls, want 1", got)
+	}
+	want := SyncResult{Files: 1, Bytes: int64(len(e.Line()) + 1), Entries: 1}
+	if res != want {
+		t.Errorf("reconcile = %+v, want %+v", res, want)
+	}
+	if got := s.Select(Query{System: "sys02", Benchmark: "bench03"}); len(got) != 2 {
+		t.Errorf("grown file holds %d entries in the store, want 2", len(got))
+	}
+}
+
+// Append persists entries through perflog.Append and ingests exactly
+// the bytes just written, so store and tree stay in lockstep.
+func (s *Store) Append(system, benchmark string, entries ...*perflog.Entry) error {
+	if err := perflog.Append(s.root, system, benchmark, entries...); err != nil {
+		return err
+	}
+	return s.SyncFile(filepath.Join(s.root, system, benchmark+".log"))
+}
+
+// selectScan is the reference implementation Select is measured and
+// property-tested against: a full linear scan of both tiers with
+// per-entry predicate checks and a post-hoc sort — the pre-index query
+// path. It must return results identical to Select for every query.
+func (s *Store) selectScan(q Query) []*perflog.Entry {
+	m := q.compile()
+	var hits []hit
+	scan := func(st *stored) {
+		if !st.dead && !(m.hasSince && st.t < m.sinceNano) && m.matchEntry(st.entry) {
+			hits = append(hits, hit{st.entry, st.t, st.seq})
+		}
+	}
+	s.seg.RLock()
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		for j := range sh.entries {
+			scan(&sh.entries[j])
+		}
+		sh.mu.RUnlock()
+	}
+	for _, g := range s.seg.list {
+		d, err := g.load()
+		if err != nil {
+			s.noteLoadFailure(err)
+			continue
+		}
+		for j := range d.entries {
+			scan(&d.entries[j])
+		}
+	}
+	s.seg.RUnlock()
+	slices.SortFunc(hits, cmpHits)
+	if q.Limit > 0 && len(hits) > q.Limit {
+		hits = hits[len(hits)-q.Limit:]
+	}
+	out := make([]*perflog.Entry, len(hits))
+	for i, h := range hits {
+		out[i] = h.e
+	}
+	return out
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -76,12 +77,18 @@ func TestAggregateCacheEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Shutdown(context.Background())
-	store := srv.Store()
-	if err := store.Append("archer2", "hpgmg-fv", cacheEntryFor("archer2", "hpgmg-fv", 1, 95.0)); err != nil {
-		t.Fatal(err)
-	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
+	appendSynced := func(job int, v float64) {
+		t.Helper()
+		if err := perflog.Append(srv.Store().Root(), "archer2", "hpgmg-fv", cacheEntryFor("archer2", "hpgmg-fv", job, v)); err != nil {
+			t.Fatal(err)
+		}
+		if code := postJSON(t, ts.URL+"/v1/sync", "", nil); code != http.StatusOK {
+			t.Fatalf("sync status = %d", code)
+		}
+	}
+	appendSynced(1, 95.0)
 
 	count := func() int {
 		var body struct {
@@ -112,9 +119,7 @@ func TestAggregateCacheEndToEnd(t *testing.T) {
 		t.Fatalf("second identical query missed the cache (hits %v -> %v)", h0, hits())
 	}
 	// A store write must invalidate: the next query sees the new entry.
-	if err := store.Append("archer2", "hpgmg-fv", cacheEntryFor("archer2", "hpgmg-fv", 2, 94.0)); err != nil {
-		t.Fatal(err)
-	}
+	appendSynced(2, 94.0)
 	if got := count(); got != 2 {
 		t.Fatalf("stale aggregate served after write: count = %d, want 2", got)
 	}

@@ -355,9 +355,9 @@ func chaosSoak(t *testing.T, dataDir string) {
 	// An out-of-band appender plays the benchctl-invocation role: one-shot
 	// perflog.Append calls against the same files the daemon's
 	// group-commit writer holds open. These bytes reach the store only by
-	// being parsed (the query path's Sync, or a worker's post-commit
-	// SyncFile) — which keeps the perfstore.read fault class drawing now
-	// that the daemon's own entries enter the store pre-parsed — and they
+	// being parsed (a reconcile, or a worker's post-commit SyncFile) —
+	// which keeps the perfstore.read fault class drawing now that the
+	// daemon's own entries enter the store pre-parsed — and they
 	// move file offsets underneath the writer, forcing the store to
 	// decline stale commit notifications and fall back to parsing. An
 	// injected perflog.sync fault fails an append cleanly (nothing
@@ -384,12 +384,12 @@ func chaosSoak(t *testing.T, dataDir string) {
 			switch {
 			case err == nil:
 				oobLanded++
-				// Query immediately so the tail is parsed while this
+				// Reconcile immediately so the tail is parsed while this
 				// append is the only unparsed byte range: one parse
 				// event (and its perfstore.read draws) per landed
-				// append, independent of how slowly the background
-				// readers cycle under the race detector.
-				if resp, err := client.Get(ts.URL + "/v1/query?benchmark=babelstream-omp"); err == nil {
+				// append, independent of the background reconcile's
+				// timing.
+				if resp, err := client.Post(ts.URL+"/v1/sync", "application/json", nil); err == nil {
 					io.Copy(io.Discard, resp.Body)
 					resp.Body.Close()
 				}

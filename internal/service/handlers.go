@@ -79,6 +79,7 @@ func (s *Server) Handler() http.Handler {
 	handle("GET /v1/runs/{id}", "/v1/runs/{id}", s.handleGetRun)
 	handle("GET /v1/query", "/v1/query", s.handleQuery)
 	handle("GET /v1/regressions", "/v1/regressions", s.handleRegressions)
+	handle("POST /v1/sync", "/v1/sync", s.handleSync)
 	handle("GET /v1/traces", "/v1/traces", s.handleListTraces)
 	handle("GET /v1/traces/{id}", "/v1/traces/{id}", s.handleGetTrace)
 	handle("POST /v1/schedules", "/v1/schedules", s.handleCreateSchedule)
@@ -290,7 +291,23 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Location", "/v1/runs/"+run.ID)
-	writeJSON(w, http.StatusAccepted, viewRun(run))
+	writeJSON(w, http.StatusAccepted, viewAccepted(run))
+}
+
+// viewAccepted is a run's view as the submission created it. A worker
+// may pick the run up before the 202 is written; the response still
+// reports the accepted state ("queued"), and GET /v1/runs/{id} tracks
+// progress from there. The fields read are never written after
+// submission.
+func viewAccepted(r *Run) runView {
+	return runView{
+		ID:        r.ID,
+		Benchmark: r.Benchmark,
+		System:    r.System,
+		Spec:      r.Spec,
+		Status:    StatusQueued,
+		Submitted: r.submitted,
+	}
 }
 
 func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
@@ -313,22 +330,17 @@ func (s *Server) handleListRuns(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleQuery serves GET /v1/query: filtered entries, or group-by
-// aggregates when agg= is present. The store re-syncs incrementally
-// first so entries appended by out-of-band CLI runs are visible — an
-// unchanged tree costs zero parsed bytes.
+// aggregates when agg= is present. It answers from memory only: daemon
+// runs reach the store at commit, and out-of-band CLI appends through
+// the background reconcile or POST /v1/sync.
 //
 // Aggregate results are served through the generation-stamped cache: a
 // repeated dashboard query against an unchanged store costs one map
-// lookup (the no-op Sync leaves the generation untouched, so the stamp
-// still matches).
+// lookup.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	q, err := perfstore.ParseQuery(r.URL.RawQuery)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := s.store.Sync(); err != nil {
-		syncError(w, err)
 		return
 	}
 	if q.Agg != "" {
@@ -395,10 +407,6 @@ func (s *Server) handleRegressions(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("fom= is required"))
 		return
 	}
-	if err := s.store.Sync(); err != nil {
-		syncError(w, err)
-		return
-	}
 	// Regression reports ride the same generation-stamped cache as
 	// aggregates; tolerance and window are part of the key because they
 	// change the result for identical store contents.
@@ -438,6 +446,23 @@ func (s *Server) handleRegressions(w http.ResponseWriter, r *http.Request) {
 		"tolerance":   tolerance,
 		"window":      window,
 	})
+}
+
+// handleSync serves POST /v1/sync: one reconcile of the store with the
+// perflog tree, run now instead of at the next background pass, so a
+// client that appended out of band can read its own writes. It reports
+// the files, bytes and entries the pass ingested.
+func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
+	var res perfstore.SyncResult
+	err := s.writer.Quiesce(func() (err error) {
+		res, err = s.store.Reconcile()
+		return err
+	})
+	if err != nil {
+		syncError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, res)
 }
 
 // handleMetrics serves GET /metrics in Prometheus text exposition

@@ -65,8 +65,8 @@ type Config struct {
 	// CompactSegments is the segment count at which the maintenance
 	// loop merges the sealed tier into one segment (default 8).
 	CompactSegments int
-	// MaintenanceInterval paces the seal/compact maintenance loop
-	// (default 30s).
+	// MaintenanceInterval paces the tiered store's seal/compact passes
+	// in the maintenance loop (default 30s).
 	MaintenanceInterval time.Duration
 	// InstallTree is the build cache for executed runs.
 	InstallTree string
@@ -389,10 +389,8 @@ func New(cfg Config) (*Server, error) {
 		s.wg.Add(1)
 		go s.worker()
 	}
-	if cfg.DataDir != "" && !degraded {
-		s.maintWG.Add(1)
-		go s.maintain()
-	}
+	s.maintWG.Add(1)
+	go s.maintain()
 	// A degraded (read-only) daemon keeps its registry queryable but
 	// does not tick: every firing would be refused by the store anyway.
 	if !degraded {
@@ -449,19 +447,39 @@ func (s *Server) publishPolicy() retry.Policy {
 // segment manifest was unreadable.
 func (s *Server) Degraded() bool { return s.degraded }
 
-// maintain is the storage maintenance loop: it periodically seals a
-// grown head into a segment and compacts accumulated small segments,
-// keeping boot O(headers) and query fan-out bounded without blocking
-// the ingest or query paths for longer than one manifest swap.
+// reconcileEvery paces the maintenance loop's reconcile of the store
+// with the perflog tree: the bound on how long an out-of-band append
+// stays invisible to reads unless a client calls POST /v1/sync.
+const reconcileEvery = time.Second
+
+// maintain is the storage maintenance loop. Every daemon reconciles its
+// store with the perflog tree each reconcileEvery, so the read handlers
+// never touch the filesystem. The reconcile runs between group commits
+// (Writer.Quiesce), so it parses only out-of-band bytes and never the
+// daemon's own, which reach the store pre-parsed through commitIngest. A tiered daemon that is not degraded also
+// periodically seals a grown head into a segment and compacts
+// accumulated small segments, keeping boot O(headers) and query fan-out
+// bounded without blocking the ingest or query paths for longer than
+// one manifest swap.
 func (s *Server) maintain() {
 	defer s.maintWG.Done()
-	t := time.NewTicker(s.cfg.MaintenanceInterval)
-	defer t.Stop()
+	reconcile := time.NewTicker(reconcileEvery)
+	defer reconcile.Stop()
+	var seal <-chan time.Time
+	if s.cfg.DataDir != "" && !s.degraded {
+		t := time.NewTicker(s.cfg.MaintenanceInterval)
+		defer t.Stop()
+		seal = t.C
+	}
 	for {
 		select {
 		case <-s.maintStop:
 			return
-		case <-t.C:
+		case <-reconcile.C:
+			if err := s.writer.Quiesce(s.store.Sync); err != nil {
+				s.cfg.Logger.Warn("reconcile failed", "error", err.Error())
+			}
+		case <-seal:
 			if n, err := s.store.MaybeSeal(s.cfg.SealThreshold); err != nil {
 				s.cfg.Logger.Error("seal failed", "error", err.Error())
 			} else if n > 0 {
@@ -690,10 +708,12 @@ func (s *Server) execute(run *Run) {
 	// reconciliation pass: normally a checkpoint no-op that re-parses
 	// zero bytes, it only reads when out-of-band appenders touched the
 	// file or a commit notification was declined, and it is safe to
-	// retry through transient store faults.
+	// retry through transient store faults. It runs between commits, so
+	// it never parses another run's commit that is written but not yet
+	// handed to the store.
 	logPath := filepath.Join(s.store.Root(), entry.System, entry.Benchmark+".log")
 	if err := s.runner.Retry.Do(ctx, "benchd.ingest", func(context.Context, int) error {
-		return s.store.SyncFile(logPath)
+		return s.writer.Quiesce(func() error { return s.store.SyncFile(logPath) })
 	}); err != nil {
 		s.fail(ctx, span, run, fmt.Errorf("run executed but ingest failed: %w", err))
 		return

@@ -184,8 +184,8 @@ func TestE2ERunQueryRegress(t *testing.T) {
 
 func TestRegressionsFlagsDropAcrossDaemonAndCLIEntries(t *testing.T) {
 	// Entries written to the tree by out-of-band CLI runs are visible to
-	// the daemon's query path after its incremental re-sync, and a drop
-	// is flagged with the shared tolerance rule.
+	// the daemon's query path after an explicit reconcile, and a drop is
+	// flagged with the shared tolerance rule.
 	srv, ts := newTestServer(t)
 	t0 := time.Date(2023, 7, 7, 10, 0, 0, 0, time.UTC)
 	for i, v := range []float64{100, 101, 80} {
@@ -199,6 +199,9 @@ func TestRegressionsFlagsDropAcrossDaemonAndCLIEntries(t *testing.T) {
 		if err := perflog.Append(srv.Store().Root(), "archer2", "hpgmg-fv", e); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if code := postJSON(t, ts.URL+"/v1/sync", "", nil); code != http.StatusOK {
+		t.Fatalf("sync status = %d", code)
 	}
 	var reg struct {
 		Regressions []struct {
@@ -674,7 +677,7 @@ func TestInjectedSubmitFaultIs503WithRetryAfter(t *testing.T) {
 
 func TestTransientStoreSyncFaultIs503(t *testing.T) {
 	srv, ts := newTestServer(t)
-	// The query path only re-syncs files that exist; seed one.
+	// One out-of-band entry, for the recovery check at the end.
 	e := &perflog.Entry{
 		Time: time.Date(2023, 7, 7, 10, 0, 0, 0, time.UTC), Benchmark: "bs",
 		System: "archer2", Result: "pass",
@@ -683,18 +686,29 @@ func TestTransientStoreSyncFaultIs503(t *testing.T) {
 	if err := perflog.Append(srv.Store().Root(), e.System, e.Benchmark, e); err != nil {
 		t.Fatal(err)
 	}
-	loadFaults(t, 1, "perfstore.sync:error:times=1")
-	resp, err := http.Get(ts.URL + "/v1/query?benchmark=bs")
+	// Every reconcile fails while the fault is armed (the background pass
+	// included, so it cannot take the fault for the request below).
+	loadFaults(t, 1, "perfstore.sync:error")
+	for _, path := range []string{"/v1/query?benchmark=bs", "/v1/regressions?fom=l0"} {
+		if code := getJSON(t, ts.URL+path, nil); code != http.StatusOK {
+			t.Fatalf("GET %s during store fault: status = %d, want 200 (reads never touch the filesystem)", path, code)
+		}
+	}
+	resp, err := http.Post(ts.URL+"/v1/sync", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("query during store fault: status = %d, want 503", resp.StatusCode)
+		t.Fatalf("sync during store fault: status = %d, want 503", resp.StatusCode)
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("503 carries no Retry-After hint")
+	}
+	faultinject.Reset()
+	if code := postJSON(t, ts.URL+"/v1/sync", "", nil); code != http.StatusOK {
+		t.Fatalf("sync after fault cleared: status = %d, want 200", code)
 	}
 	var out struct {
 		Count int `json:"count"`
@@ -704,5 +718,36 @@ func TestTransientStoreSyncFaultIs503(t *testing.T) {
 	}
 	if out.Count != 1 {
 		t.Errorf("entries after recovery = %d, want 1", out.Count)
+	}
+}
+
+func TestReconcileMakesOutOfBandAppendVisible(t *testing.T) {
+	// With no explicit sync, the background reconcile brings an
+	// out-of-band CLI append into the store within its interval.
+	srv, ts := newTestServer(t)
+	e := &perflog.Entry{
+		Time: time.Date(2023, 7, 7, 10, 0, 0, 0, time.UTC), Benchmark: "hpgmg-fv",
+		System: "csd3", Result: "pass",
+		FOMs:  map[string]fom.Value{"l0": {Name: "l0", Value: 95, Unit: "MDOF/s"}},
+		Extra: map[string]string{},
+	}
+	if err := perflog.Append(srv.Store().Root(), e.System, e.Benchmark, e); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		var out struct {
+			Count int `json:"count"`
+		}
+		if code := getJSON(t, ts.URL+"/v1/query?system=csd3", &out); code != http.StatusOK {
+			t.Fatalf("query status = %d", code)
+		}
+		if out.Count == 1 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("out-of-band append not visible after 5s (count = %d)", out.Count)
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }
