@@ -27,7 +27,7 @@ import (
 // fire server-side; this is how an operator (or a CI log) sees them
 // start, finish, and flag regressions without polling. Dropped
 // connections reconnect with backoff, resuming from the last event id
-// so nothing the replay ring still holds is missed.
+// so nothing the event log still holds is missed.
 func cmdWatch(args []string) error {
 	fs := flag.NewFlagSet("watch", flag.ContinueOnError)
 	addr := fs.String("addr", "http://localhost:8080", "benchd base URL")
@@ -133,9 +133,10 @@ func streamWatch(ctx context.Context, client *http.Client, base, types string, l
 				return fmt.Errorf("bad event payload: %w", err)
 			}
 			data = ""
-			if ev.ID > *lastID {
-				*lastID = ev.ID
-			}
+			// IDs only grow within a stream, but a restarted daemon
+			// starts over at 1 (after a replay-gap notice), so the
+			// cursor follows the stream instead of keeping its maximum.
+			*lastID = ev.ID
 			stop := emit(ev)
 			if stop || ev.Type == eventbus.TypeServerShutdown {
 				return nil

@@ -66,6 +66,34 @@ func TestStreamWatchResumes(t *testing.T) {
 	}
 }
 
+// TestStreamWatchCursorFollowsRestart: a restarted daemon numbers its
+// events from 1 again and answers a stale Last-Event-ID with a replay
+// gap, so the client's cursor must follow the new IDs down — a cursor
+// stuck at the old maximum would resume the next connection past
+// everything the new daemon has.
+func TestStreamWatchCursorFollowsRestart(t *testing.T) {
+	var lastEventIDs []string
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		lastEventIDs = append(lastEventIDs, r.Header.Get("Last-Event-ID"))
+		w.Header().Set("Content-Type", "text/event-stream")
+		fmt.Fprint(w, ": replay gap: events before this point were evicted\n\n")
+		fmt.Fprint(w, "id: 1\nevent: run.started\ndata: {\"id\":1,\"type\":\"run.started\"}\n\n")
+		fmt.Fprint(w, "id: 2\nevent: run.finished\ndata: {\"id\":2,\"type\":\"run.finished\"}\n\n")
+	}))
+	defer ts.Close()
+
+	lastID := uint64(1000)
+	for i := 0; i < 2; i++ {
+		streamWatch(context.Background(), ts.Client(), ts.URL, "", &lastID, func(eventbus.Event) bool { return false })
+		if lastID != 2 {
+			t.Fatalf("lastID after stream %d = %d, want 2", i, lastID)
+		}
+	}
+	if fmt.Sprint(lastEventIDs) != "[1000 2]" {
+		t.Errorf("Last-Event-ID headers = %q, want [1000 2]", lastEventIDs)
+	}
+}
+
 // TestStreamWatchTypesAndErrors: the type filter lands on the query
 // string, emit can stop the stream early, and HTTP errors surface with
 // the server's message.

@@ -83,8 +83,7 @@ func run(args []string) error {
 	verbose := fs.Bool("v", false, "debug-level logging")
 	stageTimeout := fs.Duration("stage-timeout", 0, "per-stage pipeline budget for executed runs (0 = no limit)")
 	tick := fs.Duration("tick", time.Second, "recurring-schedule tick interval")
-	eventBuffer := fs.Int("event-buffer", 256, "per-/v1/watch-subscriber event ring size")
-	replayBuffer := fs.Int("replay-buffer", 1024, "Last-Event-ID replay ring size")
+	replayBuffer := fs.Int("replay-buffer", 1024, "events retained for /v1/watch delivery and Last-Event-ID resume")
 	heartbeat := fs.Duration("heartbeat", 15*time.Second, "/v1/watch keepalive interval")
 	regressTol := fs.Float64("regress-tolerance", 0.10, "fractional drop flagged after scheduled runs")
 	regressWindow := fs.Int("regress-window", 5, "sliding baseline window for post-run regression detection (<0 disables)")
@@ -151,7 +150,6 @@ func run(args []string) error {
 		CommitBytes:     *commitBytes,
 
 		TickInterval:        *tick,
-		EventBuffer:         *eventBuffer,
 		ReplayBuffer:        *replayBuffer,
 		HeartbeatInterval:   *heartbeat,
 		RegressionTolerance: *regressTol,

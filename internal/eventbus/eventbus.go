@@ -4,14 +4,16 @@
 // /v1/watch SSE streams, the chaos harness, future federation hooks —
 // subscribe without ever being able to stall a publisher.
 //
-// The contract that makes continuous benchmarking safe to push is the
-// slow-consumer policy: every subscriber owns a bounded ring buffer,
-// Publish never blocks, and when a ring overflows the *oldest* event is
-// dropped and counted against that subscriber alone. A stalled
-// dashboard therefore costs itself history, never ingest latency or
-// other subscribers' events. A separate bounded replay ring on the bus
-// lets reconnecting consumers catch up from a Last-Event-ID instead of
-// re-reading the world.
+// Every event lives in one place: a bounded log of the most recent
+// events (all types) on the bus. A subscriber is only a type filter and
+// a cursor — the ID of the last event it read — into that log, like a
+// consumer offset. Publish appends and wakes readers; it never visits
+// or waits on a subscriber. When the log is full the *oldest* event is
+// evicted, and a subscriber whose cursor it passed learns on its next
+// read how many events it missed. A stalled dashboard therefore costs
+// itself history, never ingest latency or other subscribers' events.
+// A reconnecting consumer resumes by subscribing at its Last-Event-ID,
+// so catch-up and live delivery are the same read loop.
 package eventbus
 
 import (
@@ -74,50 +76,50 @@ var (
 		"Live bus subscribers.").With()
 	metricDropped = telemetry.DefaultRegistry.Counter(
 		"eventbus_dropped_total",
-		"Events dropped instead of delivered, by reason (slow_subscriber: a full per-subscriber ring evicted its oldest event; replay_gap: a Last-Event-ID catch-up started past the replay ring's tail).",
+		"Events lost instead of delivered, by reason (slow_subscriber: events of any type evicted from the log before a live subscriber's cursor read them; replay_gap: subscriptions whose starting cursor was already evicted or is newer than the bus, such as a Last-Event-ID from before a restart).",
 		"reason")
 )
 
-// Bus is the concurrency-safe event fan-out. The zero value is not
-// usable; call New.
+// Bus is the concurrency-safe event log. The zero value is not usable;
+// call New.
 type Bus struct {
 	// Now supplies event timestamps (defaults to time.Now; fixed in
 	// tests for deterministic events).
 	Now func() time.Time
 
-	mu      sync.Mutex
-	seq     uint64
-	subs    map[int]*Subscriber
-	nextSub int
-	closed  bool
+	mu     sync.Mutex
+	seq    uint64 // ID of the newest event (0 before any publish)
+	subs   int
+	closed bool
+	// wake is closed (and cleared) to wake every blocked reader; nil
+	// while nobody waits. waiting counts the blocked readers by the event
+	// type they want ("" = any), so Publish wakes them only for an event
+	// one of them reads: a woken reader that finds nothing costs its
+	// stream a scheduling round.
+	wake    chan struct{}
+	waiting map[string]int
 
-	// replay is a bounded ring of the most recent events (all types),
-	// serving Last-Event-ID catch-up. start indexes the oldest retained
-	// event once the ring has wrapped.
-	replay    []Event
-	replayCap int
-	start     int
+	// log is a bounded ring of the most recent events, IDs
+	// seq-len(log)+1 .. seq. start indexes the oldest once it has
+	// wrapped.
+	log   []Event
+	size  int
+	start int
 }
 
-// New builds a bus whose replay ring retains the last replayCap events
-// (default 1024 when <= 0).
-func New(replayCap int) *Bus {
-	if replayCap <= 0 {
-		replayCap = 1024
+// New builds a bus whose log retains the last size events (default
+// 1024 when <= 0).
+func New(size int) *Bus {
+	if size <= 0 {
+		size = 1024
 	}
-	return &Bus{
-		Now:       time.Now,
-		subs:      map[int]*Subscriber{},
-		replayCap: replayCap,
-	}
+	return &Bus{Now: time.Now, size: size, waiting: map[string]int{}}
 }
 
-// Publish stamps and fans out one event. It never blocks on consumers:
-// a subscriber whose ring is full loses its oldest event (counted in
-// eventbus_dropped_total{reason="slow_subscriber"} and on the
-// subscriber). The "eventbus.publish" injection point fires before any
-// state changes, so a failed Publish delivered nothing and is safe to
-// retry without duplicating events.
+// Publish stamps and appends one event, evicting the oldest when the
+// log is full. It never blocks on consumers. The "eventbus.publish"
+// injection point fires before any state changes, so a failed Publish
+// delivered nothing and is safe to retry without duplicating events.
 func (b *Bus) Publish(typ string, data map[string]string) (Event, error) {
 	if err := faultinject.Fire("eventbus.publish"); err != nil {
 		return Event{}, fmt.Errorf("eventbus: publish %s: %w", typ, err)
@@ -129,28 +131,41 @@ func (b *Bus) Publish(typ string, data map[string]string) (Event, error) {
 	}
 	b.seq++
 	ev := Event{ID: b.seq, Type: typ, Time: b.Now(), Data: data}
-	if len(b.replay) < b.replayCap {
-		b.replay = append(b.replay, ev)
+	if len(b.log) < b.size {
+		b.log = append(b.log, ev)
 	} else {
-		b.replay[b.start] = ev
-		b.start = (b.start + 1) % b.replayCap
+		b.log[b.start] = ev
+		b.start = (b.start + 1) % b.size
 	}
-	for _, sub := range b.subs {
-		sub.push(ev)
+	if b.waiting[typ] > 0 || b.waiting[""] > 0 {
+		b.broadcast()
 	}
 	b.mu.Unlock()
 	metricEvents.With(typ).Inc()
 	return ev, nil
 }
 
-// Subscribe registers a consumer for the given event types (nil or
-// empty = every type) with a ring of the given capacity (default 256
-// when <= 0). The subscriber must be Closed when done, or it leaks a
-// slot until the bus closes.
-func (b *Bus) Subscribe(types []string, buffer int) (*Subscriber, error) {
-	if buffer <= 0 {
-		buffer = 256
+// broadcast wakes every waiting reader. Called with b.mu held.
+func (b *Bus) broadcast() {
+	if b.wake != nil {
+		close(b.wake)
+		b.wake = nil
+		clear(b.waiting)
 	}
+}
+
+// evicted returns the ID of the newest event no longer in the log.
+// Called with b.mu held.
+func (b *Bus) evicted() uint64 { return b.seq - uint64(len(b.log)) }
+
+// Subscribe registers a consumer for the given event types (nil or
+// empty = every type) that reads the events after cursor `after`: a
+// Last-Event-ID to resume from, or LastID() for a live tail. A cursor
+// the log no longer reaches back to, or one newer than the bus (an ID
+// from before a daemon restart), is a replay gap: the subscriber starts
+// at the oldest retained event and Gap reports it. Close the
+// subscriber when done.
+func (b *Bus) Subscribe(types []string, after uint64) (*Subscriber, error) {
 	var want map[string]struct{}
 	if len(types) > 0 {
 		want = make(map[string]struct{}, len(types))
@@ -163,59 +178,15 @@ func (b *Bus) Subscribe(types []string, buffer int) (*Subscriber, error) {
 	if b.closed {
 		return nil, ErrClosed
 	}
-	b.nextSub++
-	sub := &Subscriber{
-		bus:    b,
-		id:     b.nextSub,
-		types:  want,
-		buf:    make([]Event, buffer),
-		notify: make(chan struct{}, 1),
-	}
-	b.subs[sub.id] = sub
-	metricSubscribers.Inc()
-	return sub, nil
-}
-
-// ReplaySince returns the retained events with ID > after matching the
-// given types (nil = all), oldest first. gap reports that the ring no
-// longer reaches back to `after` — events between `after` and the
-// oldest retained ID were evicted, and the caller should tell its
-// consumer the stream has a hole rather than silently skipping it.
-func (b *Bus) ReplaySince(after uint64, types []string) (events []Event, gap bool) {
-	var want map[string]struct{}
-	if len(types) > 0 {
-		want = make(map[string]struct{}, len(types))
-		for _, t := range types {
-			want[t] = struct{}{}
-		}
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	n := len(b.replay)
-	if n > 0 {
-		oldest := b.replay[b.start].ID
-		if oldest > after+1 {
-			gap = true
-		}
-	} else if b.seq > after {
-		gap = true
-	}
-	for i := 0; i < n; i++ {
-		ev := b.replay[(b.start+i)%n]
-		if ev.ID <= after {
-			continue
-		}
-		if want != nil {
-			if _, ok := want[ev.Type]; !ok {
-				continue
-			}
-		}
-		events = append(events, ev)
-	}
-	if gap {
+	sub := &Subscriber{bus: b, types: want, cursor: after}
+	if after < b.evicted() || after > b.seq {
+		sub.gap = true
+		sub.cursor = b.evicted()
 		metricDropped.With("replay_gap").Inc()
 	}
-	return events, gap
+	b.subs++
+	metricSubscribers.Inc()
+	return sub, nil
 }
 
 // LastID returns the most recently assigned event ID (0 before any
@@ -226,163 +197,112 @@ func (b *Bus) LastID() uint64 {
 	return b.seq
 }
 
-// Subscribers returns the live subscriber count.
+// Subscribers returns the count of subscribers not yet Closed.
 func (b *Bus) Subscribers() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.subs)
+	return b.subs
 }
 
 // Close shuts the bus: subsequent Publish/Subscribe return ErrClosed,
-// and every subscriber's Next drains its remaining buffered events and
-// then returns ErrClosed. Close is idempotent.
+// and every subscriber's Next drains the events left past its cursor
+// and then returns ErrClosed. Close is idempotent.
 func (b *Bus) Close() {
 	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return
-	}
+	defer b.mu.Unlock()
 	b.closed = true
-	subs := make([]*Subscriber, 0, len(b.subs))
-	for _, sub := range b.subs {
-		subs = append(subs, sub)
-	}
-	b.subs = map[int]*Subscriber{}
-	b.mu.Unlock()
-	for _, sub := range subs {
-		sub.shut()
-		metricSubscribers.Dec()
-	}
+	b.broadcast()
 }
 
-// Subscriber is one bounded consumer. Events are delivered in publish
-// order; when the consumer falls behind its ring capacity, the oldest
-// undelivered events are discarded and counted in Dropped.
+// Subscriber is one consumer: a type filter and a cursor into the
+// bus's log. It holds no events of its own.
 type Subscriber struct {
 	bus   *Bus
-	id    int
 	types map[string]struct{}
+	gap   bool
 
-	mu      sync.Mutex
-	buf     []Event // fixed-capacity ring
-	head    int     // index of oldest buffered event
-	n       int     // buffered events
-	dropped uint64
-	closed  bool
-	notify  chan struct{}
+	// Guarded by bus.mu.
+	closed bool
+	cursor uint64 // ID of the last event read or skipped
+	missed uint64 // evictions past the cursor not yet reported by Next
 }
 
-// push appends one event, evicting the oldest on overflow. Called by
-// the bus with the bus lock held; the subscriber lock nests inside it
-// (Next and Close never call back into the bus while holding sub.mu).
-func (s *Subscriber) push(ev Event) {
-	s.mu.Lock()
+// Gap reports whether the starting cursor was past the log's tail, so
+// the subscriber began at the oldest retained event instead.
+func (s *Subscriber) Gap() bool { return s.gap }
+
+// catchUp moves a cursor the log's tail has overtaken up to the tail,
+// counting the evicted events as missed. Called with bus.mu held.
+func (s *Subscriber) catchUp() {
+	if lost := s.bus.evicted(); s.cursor < lost {
+		n := lost - s.cursor
+		s.cursor = lost
+		s.missed += n
+		metricDropped.With("slow_subscriber").Add(float64(n))
+	}
+}
+
+// Next blocks until an event of the subscribed types follows the
+// cursor, the context ends, or the subscriber (or bus) is closed. The
+// second result counts the events of any type that were evicted from the log
+// past the cursor since the previous Next returned an event — nonzero
+// means the stream has a hole just before ev. After the bus closes, the
+// events left in the log are still drained in order before ErrClosed
+// is returned, so a shutdown event published just before Close always
+// reaches prompt consumers.
+func (s *Subscriber) Next(ctx context.Context) (Event, uint64, error) {
+	b := s.bus
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for !s.closed {
+		s.catchUp()
+		for s.cursor < b.seq {
+			s.cursor++
+			ev := b.log[(b.start+int(s.cursor-b.evicted()-1))%len(b.log)]
+			if _, ok := s.types[ev.Type]; ok || s.types == nil {
+				missed := s.missed
+				s.missed = 0
+				return ev, missed, nil
+			}
+		}
+		if b.closed {
+			break
+		}
+		if b.wake == nil {
+			b.wake = make(chan struct{})
+		}
+		if s.types == nil {
+			b.waiting[""]++
+		}
+		for t := range s.types {
+			b.waiting[t]++
+		}
+		wake := b.wake
+		b.mu.Unlock()
+		select {
+		case <-wake:
+			b.mu.Lock()
+		case <-ctx.Done():
+			b.mu.Lock()
+			return Event{}, 0, ctx.Err()
+		}
+	}
+	return Event{}, 0, ErrClosed
+}
+
+// Close unregisters the subscriber, counting any events already evicted
+// past its cursor as dropped; a blocked Next returns ErrClosed.
+// Idempotent.
+func (s *Subscriber) Close() {
+	b := s.bus
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return
 	}
-	if s.types != nil {
-		if _, ok := s.types[ev.Type]; !ok {
-			s.mu.Unlock()
-			return
-		}
-	}
-	if s.n == len(s.buf) {
-		s.head = (s.head + 1) % len(s.buf)
-		s.n--
-		s.dropped++
-		metricDropped.With("slow_subscriber").Inc()
-	}
-	s.buf[(s.head+s.n)%len(s.buf)] = ev
-	s.n++
-	s.mu.Unlock()
-	select {
-	case s.notify <- struct{}{}:
-	default:
-	}
-}
-
-// Next blocks until an event is buffered, the context ends, or the
-// subscriber (or bus) is closed. After close, buffered events are still
-// drained in order before ErrClosed is returned — a shutdown event
-// published just before Close always reaches prompt consumers.
-func (s *Subscriber) Next(ctx context.Context) (Event, error) {
-	for {
-		s.mu.Lock()
-		if s.n > 0 {
-			ev := s.buf[s.head]
-			s.buf[s.head] = Event{} // drop the reference for GC
-			s.head = (s.head + 1) % len(s.buf)
-			s.n--
-			s.mu.Unlock()
-			return ev, nil
-		}
-		closed := s.closed
-		s.mu.Unlock()
-		if closed {
-			return Event{}, ErrClosed
-		}
-		select {
-		case <-s.notify:
-		case <-ctx.Done():
-			return Event{}, ctx.Err()
-		}
-	}
-}
-
-// TryNext pops the next buffered event without blocking.
-func (s *Subscriber) TryNext() (Event, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.n == 0 {
-		return Event{}, false
-	}
-	ev := s.buf[s.head]
-	s.buf[s.head] = Event{}
-	s.head = (s.head + 1) % len(s.buf)
-	s.n--
-	return ev, true
-}
-
-// Dropped returns how many events this subscriber lost to ring
-// overflow.
-func (s *Subscriber) Dropped() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
-}
-
-// Buffered returns how many events are waiting in the ring.
-func (s *Subscriber) Buffered() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
-}
-
-// Close unregisters the subscriber. Pending events are discarded and a
-// blocked Next returns ErrClosed. Idempotent.
-func (s *Subscriber) Close() {
-	s.bus.mu.Lock()
-	_, registered := s.bus.subs[s.id]
-	delete(s.bus.subs, s.id)
-	s.bus.mu.Unlock()
-	if registered {
-		metricSubscribers.Dec()
-	}
-	s.shut()
-}
-
-// shut marks the subscriber closed and wakes a blocked Next. It does
-// not touch the bus registry (Bus.Close already emptied it).
-func (s *Subscriber) shut() {
-	s.mu.Lock()
-	already := s.closed
+	s.catchUp()
 	s.closed = true
-	s.mu.Unlock()
-	if !already {
-		select {
-		case s.notify <- struct{}{}:
-		default:
-		}
-	}
+	b.subs--
+	metricSubscribers.Dec()
+	b.broadcast()
 }

@@ -350,7 +350,7 @@ func TestShutdownResolvesFiringAlerts(t *testing.T) {
 	}
 	sub, err := srv.Bus().Subscribe([]string{
 		eventbus.TypeAlertFired, eventbus.TypeAlertResolved, eventbus.TypeServerShutdown,
-	}, 64)
+	}, srv.Bus().LastID())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestShutdownResolvesFiringAlerts(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if ev, err := sub.Next(ctx); err != nil || ev.Type != eventbus.TypeAlertFired {
+	if ev, _, err := sub.Next(ctx); err != nil || ev.Type != eventbus.TypeAlertFired {
 		t.Fatalf("first event = %+v, %v", ev, err)
 	}
 	if err := srv.Shutdown(ctx); err != nil {
@@ -372,7 +372,7 @@ func TestShutdownResolvesFiringAlerts(t *testing.T) {
 	var seq []string
 	var reason string
 	for {
-		ev, err := sub.Next(ctx)
+		ev, _, err := sub.Next(ctx)
 		if err != nil {
 			break // bus closed after the terminal event
 		}

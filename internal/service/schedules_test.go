@@ -136,7 +136,7 @@ func TestScheduledRunsFire(t *testing.T) {
 	dir := t.TempDir()
 	srv, ts := newSchedServer(t, dir+"/perflogs", "")
 
-	sub, err := srv.Bus().Subscribe([]string{eventbus.TypeScheduleFired, eventbus.TypeRunFinished}, 256)
+	sub, err := srv.Bus().Subscribe([]string{eventbus.TypeScheduleFired, eventbus.TypeRunFinished}, srv.Bus().LastID())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestScheduledRunsFire(t *testing.T) {
 	defer cancel()
 	fired, finished := 0, 0
 	for finished < 2 {
-		ev, err := sub.Next(ctx)
+		ev, _, err := sub.Next(ctx)
 		if err != nil {
 			t.Fatalf("waiting for scheduled events (fired=%d finished=%d): %v", fired, finished, err)
 		}
@@ -223,7 +223,7 @@ func TestOnBuildChangeSchedule(t *testing.T) {
 	dir := t.TempDir()
 	srv, ts := newSchedServer(t, dir+"/perflogs", "")
 
-	sub, err := srv.Bus().Subscribe([]string{eventbus.TypeRunFinished}, 64)
+	sub, err := srv.Bus().Subscribe([]string{eventbus.TypeRunFinished}, srv.Bus().LastID())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestOnBuildChangeSchedule(t *testing.T) {
 	// Baseline firing: no recorded hash yet, so the first check fires.
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	if _, err := sub.Next(ctx); err != nil {
+	if _, _, err := sub.Next(ctx); err != nil {
 		t.Fatalf("baseline build-change run never finished: %v", err)
 	}
 
@@ -263,7 +263,7 @@ func TestOnBuildChangeSchedule(t *testing.T) {
 	// pass with no second firing.
 	quiet, qcancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
 	defer qcancel()
-	if ev, err := sub.Next(quiet); err == nil {
+	if ev, _, err := sub.Next(quiet); err == nil {
 		t.Errorf("unchanged build hash re-fired the schedule: %+v", ev)
 	}
 	if code := getJSON(t, ts.URL+"/v1/schedules/"+created.ID, &st); code != http.StatusOK || st.Fires != 1 {

@@ -109,12 +109,10 @@ type Config struct {
 	// SchedJitter is the fraction of each schedule interval added as
 	// uniform jitter (default 0.1).
 	SchedJitter float64
-	// EventBuffer bounds each /v1/watch subscriber's event ring; a
-	// consumer further behind than this loses its oldest events
-	// (default 256).
-	EventBuffer int
-	// ReplayBuffer bounds the bus's Last-Event-ID replay ring (default
-	// 1024).
+	// ReplayBuffer is how many of the most recent events (all types)
+	// the bus retains for /v1/watch delivery and Last-Event-ID resume;
+	// a stream further behind than this loses its oldest events
+	// (default 1024).
 	ReplayBuffer int
 	// HeartbeatInterval paces /v1/watch keepalive comments (default
 	// 15s).
@@ -178,9 +176,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TickInterval <= 0 {
 		c.TickInterval = time.Second
-	}
-	if c.EventBuffer <= 0 {
-		c.EventBuffer = 256
 	}
 	if c.ReplayBuffer <= 0 {
 		c.ReplayBuffer = 1024

@@ -42,12 +42,14 @@ var (
 //	data: {"id":43,"type":"run.finished","time":...,"data":{...}}
 //
 // Heartbeat comments (": heartbeat") flow while the bus is quiet so
-// proxies and clients can tell a silent stream from a dead one. When
-// the subscriber's ring overflowed (a slow consumer), the hole is
-// refilled from the bus's replay ring before anything newer is sent;
-// only a hole the replay ring has also evicted is reported, as a
-// ": dropped" comment. On graceful shutdown every stream receives a
-// terminal server.shutdown event and ends cleanly.
+// proxies and clients can tell a silent stream from a dead one. The
+// stream is one cursor into the bus's event log, so catch-up and live
+// delivery are the same loop. A hole is disclosed, never skipped
+// silently: ": replay gap" when the Last-Event-ID is older than the log
+// reaches (or newer than the bus, as after a daemon restart), and
+// ": dropped" when a slow client's cursor was overtaken by the log's
+// tail. On graceful shutdown every stream receives a terminal
+// server.shutdown event and ends cleanly.
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	// ResponseController reaches the real connection through the
 	// instrumentation wrapper (statusWriter.Unwrap) for Flush and
@@ -79,25 +81,21 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		// terminal type is always subscribed even under a filter.
 		types = append(types, eventbus.TypeServerShutdown)
 	}
-	// A present Last-Event-ID header requests catch-up from that cursor;
-	// an explicit 0 means "I have seen nothing — replay everything the
-	// ring retains". No header means a live tail from now.
-	var lastID uint64
-	replayRequested := false
+	// A present Last-Event-ID header resumes after that cursor; an
+	// explicit 0 means "I have seen nothing — replay everything the log
+	// retains". No header means a live tail from now. Events up to the
+	// bus's newest at subscription count as replay, later ones as live.
+	latest := s.bus.LastID()
+	after, resume := latest, false
 	if raw := r.Header.Get("Last-Event-ID"); raw != "" {
 		id, err := strconv.ParseUint(raw, 10, 64)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("bad Last-Event-ID %q", raw))
 			return
 		}
-		lastID = id
-		replayRequested = true
+		after, resume = id, true
 	}
-
-	// Subscribe before replaying: events published during the replay
-	// land in the ring and are deduplicated below by ID, so the client
-	// sees a gapless, strictly-increasing stream.
-	sub, err := s.bus.Subscribe(types, s.cfg.EventBuffer)
+	sub, err := s.bus.Subscribe(types, after)
 	if err != nil {
 		writeUnavailable(w, fmt.Errorf("watch unavailable: %w", err))
 		return
@@ -141,81 +139,44 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		return rc.Flush()
 	}
 
-	if replayRequested {
-		replay, gap := s.bus.ReplaySince(lastID, types)
-		if gap {
-			// The ring no longer reaches back that far; tell the client
-			// its view has a hole instead of silently skipping it.
-			if err := comment("replay gap: events before this point were evicted"); err != nil {
-				return
-			}
+	if sub.Gap() {
+		// The log no longer reaches back that far (or the cursor is from
+		// a previous daemon life); tell the client its view has a hole
+		// instead of silently skipping it.
+		if err := comment("replay gap: events before this point were evicted"); err != nil {
+			return
 		}
-		for _, ev := range replay {
-			if err := writeEvent(ev, "replay"); err != nil {
-				return
-			}
-			lastID = ev.ID
-		}
-	} else if err := comment("watching"); err != nil {
-		return
 	}
-
-	// When the subscriber's own ring overflowed under a publish burst,
-	// the hole is usually still covered by the bus's (much larger)
-	// replay ring: refill from there before writing anything newer, so
-	// the stream stays gapless and the client's Last-Event-ID never
-	// skips past events it did not see. Only a hole the replay ring has
-	// also evicted is a real loss, and that one is disclosed.
-	var droppedSeen uint64
-	recoverDropped := func() error {
-		d := sub.Dropped()
-		if d <= droppedSeen {
-			return nil
+	if !resume {
+		if err := comment("watching"); err != nil {
+			return
 		}
-		droppedSeen = d
-		replay, gap := s.bus.ReplaySince(lastID, types)
-		if gap {
-			if err := comment("dropped (slow consumer): events before this point were evicted"); err != nil {
-				return err
-			}
-		}
-		for _, ev := range replay {
-			if ev.ID <= lastID {
-				continue
-			}
-			if err := writeEvent(ev, "replay"); err != nil {
-				return err
-			}
-			lastID = ev.ID
-		}
-		return nil
 	}
 	for {
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.HeartbeatInterval)
-		ev, err := sub.Next(ctx)
+		ev, missed, err := sub.Next(ctx)
 		cancel()
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):
-			if err := recoverDropped(); err != nil {
-				return
-			}
 			if err := comment("heartbeat"); err != nil {
 				return
 			}
 			continue
 		case err != nil:
-			// Bus closed (shutdown already delivered the terminal event
-			// through the ring) or the client went away.
+			// Bus closed (after the terminal event was read) or the
+			// client went away.
 			return
 		}
-		if err := recoverDropped(); err != nil {
-			return
+		if missed > 0 {
+			if err := comment(fmt.Sprintf("dropped (slow consumer): %d events before this point were evicted", missed)); err != nil {
+				return
+			}
 		}
-		if ev.ID <= lastID {
-			continue // already sent during replay or drop recovery
+		delivery := "live"
+		if ev.ID <= latest {
+			delivery = "replay"
 		}
-		lastID = ev.ID
-		if err := writeEvent(ev, "live"); err != nil {
+		if err := writeEvent(ev, delivery); err != nil {
 			return
 		}
 		if ev.Type == eventbus.TypeServerShutdown {

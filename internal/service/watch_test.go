@@ -227,7 +227,7 @@ func TestWatchFanout(t *testing.T) {
 
 // TestWatchLastEventIDReplay covers reconnect catch-up: a client that
 // comes back with Last-Event-ID receives everything it missed from the
-// replay ring, then seamlessly continues live, without duplicates.
+// event log, then seamlessly continues live, without duplicates.
 func TestWatchLastEventIDReplay(t *testing.T) {
 	srv, ts := newWatchServer(t, nil)
 
@@ -259,8 +259,8 @@ func TestWatchLastEventIDReplay(t *testing.T) {
 	}
 }
 
-// TestWatchReplayGap: a client asking for history the bounded replay
-// ring has evicted is told about the hole instead of silently missing
+// TestWatchReplayGap: a client asking for history the bounded event
+// log has evicted is told about the hole instead of silently missing
 // it.
 func TestWatchReplayGap(t *testing.T) {
 	srv, ts := newWatchServer(t, func(c *Config) { c.ReplayBuffer = 4 })
@@ -284,20 +284,113 @@ func TestWatchReplayGap(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("no replay-gap comment")
 	}
-	// Whatever the ring still holds (the newest 4) is replayed.
+	// Whatever the log still holds (the newest 4) is replayed.
 	evs := wc.collect(t, eventbus.TypeStoreSealed, 4, 5*time.Second)
 	if last := evs[len(evs)-1].ID; last != first+11 {
 		t.Fatalf("last replayed id = %d, want %d", last, first+11)
 	}
 }
 
-// TestWatchSlowClientDrop: a stalled subscriber overflows its bounded
-// ring (drop-oldest, metric incremented) and its connection is
-// reclaimed by the write deadline — while a healthy subscriber on the
-// same bus receives every event and publishing never blocks.
+// TestWatchStaleLastEventIDAfterRestart: event IDs restart at 1 with
+// every daemon, so a client resuming with a cursor from a previous
+// life holds an ID newer than anything this bus published. That is a
+// replay gap: the client is told, then gets every retained event and
+// the live stream — not silence until the new IDs pass the old cursor.
+func TestWatchStaleLastEventIDAfterRestart(t *testing.T) {
+	srv, ts := newWatchServer(t, nil)
+	var ids []uint64
+	for i := 0; i < 3; i++ {
+		ev, err := srv.Bus().Publish(eventbus.TypeStoreSealed, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, ev.ID)
+	}
+	wc := dialWatch(t, ts.URL, "", 1000)
+	select {
+	case c := <-wc.comments:
+		if !strings.Contains(c, "replay gap") {
+			t.Fatalf("comment = %q, want a replay-gap notice", c)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no replay-gap comment for a stale Last-Event-ID")
+	}
+	for _, want := range ids {
+		if ev := wc.next(t, 5*time.Second); ev.ID != want {
+			t.Fatalf("replayed id = %d, want %d", ev.ID, want)
+		}
+	}
+	live, err := srv.Bus().Publish(eventbus.TypeStoreSealed, map[string]string{"n": "live"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev := wc.next(t, 5*time.Second); ev.ID != live.ID {
+		t.Fatalf("live id = %d, want %d", ev.ID, live.ID)
+	}
+}
+
+// TestWatchSlowClientDroppedComment: a client that stops reading long
+// enough for the log's tail to overtake its cursor is told where the
+// hole is with a ": dropped" comment, then continues from the oldest
+// retained event to the newest.
+func TestWatchSlowClientDroppedComment(t *testing.T) {
+	srv, ts := newWatchServer(t, func(c *Config) {
+		c.ReplayBuffer = 8
+		c.HeartbeatInterval = 10 * time.Second // write deadline well past the stall
+	})
+	resp, err := http.Get(ts.URL + "/v1/watch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	// Unread, the bulky events fill the connection's socket buffers and
+	// wedge the handler mid-write while the log moves on.
+	pad := strings.Repeat("x", 256*1024)
+	const total = 64
+	var last eventbus.Event
+	for i := 0; i < total; i++ {
+		if last, err = srv.Bus().Publish(eventbus.TypeStoreSealed, map[string]string{"pad": pad}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	dropped := false
+	var prev uint64
+	for sc.Scan() {
+		line := sc.Text()
+		if strings.HasPrefix(line, ": dropped") {
+			dropped = true
+		}
+		raw, ok := strings.CutPrefix(line, "id: ")
+		if !ok {
+			continue
+		}
+		id, err := strconv.ParseUint(raw, 10, 64)
+		if err != nil || id <= prev {
+			t.Fatalf("id %q after %d", raw, prev)
+		}
+		prev = id
+		if id == last.ID {
+			break
+		}
+	}
+	if prev != last.ID {
+		t.Fatalf("stream ended at id %d, want %d (%v)", prev, last.ID, sc.Err())
+	}
+	if !dropped {
+		t.Fatal("no dropped comment although the log's tail overtook the stream")
+	}
+}
+
+// TestWatchSlowClientDrop: a stalled subscriber's cursor is overtaken
+// by the bounded log's tail (drop-oldest, metric incremented) and its
+// connection is reclaimed by the write deadline — while a healthy
+// subscriber on the same bus receives every event and publishing never
+// blocks.
 func TestWatchSlowClientDrop(t *testing.T) {
 	srv, ts := newWatchServer(t, func(c *Config) {
-		c.EventBuffer = 8
+		c.ReplayBuffer = 8
 		c.HeartbeatInterval = 100 * time.Millisecond
 	})
 	reg := telemetry.DefaultRegistry
@@ -307,8 +400,8 @@ func TestWatchSlowClientDrop(t *testing.T) {
 
 	// The stalled client: connected, never reads. The server's writes
 	// land in kernel buffers until they fill, then block until the
-	// rolling write deadline reclaims the handler; meanwhile its ring
-	// (capacity 8) overflows and drops oldest.
+	// rolling write deadline reclaims the handler; meanwhile the log
+	// (capacity 8) moves past its cursor and the oldest are dropped.
 	stalled, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/watch?types=store.sealed", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -321,8 +414,8 @@ func TestWatchSlowClientDrop(t *testing.T) {
 
 	// Bulky payloads fill the stalled connection's socket buffers in a
 	// few events, wedging its handler mid-write; the publishes are paced
-	// so the HEALTHY subscriber's 8-slot ring always drains in time —
-	// only the wedged stream falls behind and overflows.
+	// so the HEALTHY subscriber always reads within the 8-event log —
+	// only the wedged stream falls behind the log's tail.
 	pad := strings.Repeat("x", 32*1024)
 	const total = 150
 	publishStart := time.Now()
@@ -338,7 +431,7 @@ func TestWatchSlowClientDrop(t *testing.T) {
 		t.Errorf("publishing stalled for %s behind a slow consumer", d)
 	}
 
-	// The healthy subscriber gets all 300, in order.
+	// The healthy subscriber gets all `total` events, in order.
 	evs := healthy.collect(t, eventbus.TypeStoreSealed, total, 60*time.Second)
 	for i, ev := range evs {
 		if ev.Data["n"] != strconv.Itoa(i) {
